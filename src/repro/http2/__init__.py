@@ -13,7 +13,9 @@ ourselves rather than depending on the ``h2`` package:
 * connection & stream flow control (:mod:`repro.http2.flow_control`),
 * a sans-io connection engine usable for both client and server roles
   (:mod:`repro.http2.connection`), and
-* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`).
+* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`),
+  driven over TCP by one client channel (:mod:`repro.http2.channel`) and
+  one server connection loop (:mod:`repro.http2.serverloop`).
 """
 
 from repro.http2.errors import ErrorCode, H2Error, ProtocolError, FrameError
@@ -33,7 +35,7 @@ from repro.http2.frames import (
 )
 from repro.http2.settings import Setting, Settings, SETTINGS_GEN_ABILITY
 from repro.http2.connection import H2Connection, Event
-from repro.http2.transport import InMemoryTransportPair, open_tcp_pair
+from repro.http2.transport import InMemoryTransportPair
 from repro.http2.writer import ConnectionWriter
 
 __all__ = [
@@ -59,6 +61,5 @@ __all__ = [
     "H2Connection",
     "Event",
     "InMemoryTransportPair",
-    "open_tcp_pair",
     "ConnectionWriter",
 ]

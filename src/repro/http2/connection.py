@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.http2 import frames
 from repro.http2.errors import (
-    CompressionError,
     ErrorCode,
     FlowControlError,
     ProtocolError,
@@ -60,6 +59,14 @@ from repro.obs import MetricsRegistry, get_registry
 
 #: The client connection preface (RFC 9113 §3.4).
 CONNECTION_PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
+
+#: Largest header block (HEADERS + CONTINUATION fragments) buffered for one
+#: field section; more is a CONTINUATION flood (CVE-2024-27316 class).
+MAX_HEADER_BLOCK_BYTES = 256 * 1024
+
+#: Largest decoded header list, counted as RFC 9113 §6.5.2 does: name +
+#: value + 32 bytes per field (bounds HPACK blocks that expand on decode).
+MAX_HEADER_LIST_BYTES = 256 * 1024
 
 HeaderList = list[tuple[bytes, bytes]]
 
@@ -199,7 +206,9 @@ class StreamRefused(Event):
 @dataclass
 class AbuseDetected(Event):
     """Abusive peer behaviour crossed a limit and the connection is being
-    torn down with ENHANCE_YOUR_CALM (rapid reset, SETTINGS/PING floods)."""
+    torn down with ENHANCE_YOUR_CALM (rapid reset, SETTINGS/PING floods,
+    oversized header blocks or header lists). ``count`` is the number of
+    occurrences for floods and the size in bytes for header limits."""
 
     kind: str = ""
     count: int = 0
@@ -266,7 +275,9 @@ class H2Connection:
         self._preface_pending = role == Role.SERVER
         self._next_stream_id = 1 if role == Role.CLIENT else 2
         self._highest_peer_stream = 0
-        self._expect_continuation: tuple[int, bytearray, bool] | None = None
+        #: (stream id, buffered block or None once over the cap, END_STREAM)
+        #: while a header block awaits its CONTINUATION frames.
+        self._expect_continuation: tuple[int, bytearray | None, bool] | None = None
         self._goaway_sent = False
         self._goaway_received = False
         self.bytes_sent = 0
@@ -435,6 +446,7 @@ class H2Connection:
     def reset_stream(self, stream_id: int, error_code: ErrorCode = ErrorCode.CANCEL) -> None:
         stream = self._get_or_create_stream(stream_id)
         stream.process(StreamEvent.SEND_RST)
+        stream.reset_sent = True
         self._emit_frame(RstStreamFrame(stream_id=stream_id, error_code=error_code))
 
     def close_connection(self, error_code: ErrorCode = ErrorCode.NO_ERROR, debug: bytes = b"") -> None:
@@ -778,11 +790,7 @@ class H2Connection:
         if not frame.end_headers:
             self._expect_continuation = (frame.stream_id, bytearray(frame.header_block), frame.end_stream)
             return []
-        try:
-            headers = self.decoder.decode(frame.header_block)
-        except CompressionError:
-            raise
-        events = self._header_events(frame.stream_id, headers, frame.end_stream)
+        events = self._decode_header_block(frame.stream_id, frame.header_block, frame.end_stream)
         if frame.priority is not None:
             # Legacy HEADERS-borne prioritisation (RFC 7540 §6.2). The
             # RFC 9218 ``priority`` header field wins when both appear.
@@ -798,18 +806,38 @@ class H2Connection:
         stream_id, buffer, end_stream = self._expect_continuation
         if frame.stream_id != stream_id:
             raise ProtocolError("CONTINUATION on wrong stream")
+        if frame.end_headers:
+            self._expect_continuation = None
+        if buffer is None:
+            return []  # the rest of a block already over the cap: discarded
         buffer += frame.header_block
+        if len(buffer) > MAX_HEADER_BLOCK_BYTES:
+            if not frame.end_headers:
+                self._expect_continuation = (stream_id, None, end_stream)
+            return self._abuse("header-block-size", len(buffer))
         if not frame.end_headers:
-            self._expect_continuation = (stream_id, buffer, end_stream)
             return []
-        self._expect_continuation = None
-        headers = self.decoder.decode(bytes(buffer))
+        return self._decode_header_block(stream_id, bytes(buffer), end_stream)
+
+    def _decode_header_block(self, stream_id: int, block: bytes, end_stream: bool) -> list[Event]:
+        headers = self.decoder.decode(block)
+        size = sum(len(name) + len(value) + 32 for name, value in headers)
+        if size > MAX_HEADER_LIST_BYTES:
+            return self._abuse("header-list-size", size)
         return self._header_events(stream_id, headers, end_stream)
 
     def _handle_data(self, frame: DataFrame) -> list[Event]:
         if frame.stream_id == 0:
             raise ProtocolError("DATA on stream 0")
         stream = self.streams.get(frame.stream_id)
+        if stream is not None and stream.reset_sent:
+            # In flight when our RST_STREAM left: drop it, but hand its
+            # connection credit straight back (RFC 9113 §6.9).
+            flow_length = frame.flow_controlled_length()
+            self.inbound_window.consume(flow_length)
+            if flow_length:
+                self.increment_flow_control_window(flow_length)
+            return []
         if stream is None or not stream.can_receive_data:
             raise StreamError(
                 f"DATA on unusable stream {frame.stream_id}", frame.stream_id, ErrorCode.STREAM_CLOSED
@@ -827,7 +855,6 @@ class H2Connection:
                     operation="receive",
                 ).inc()
             raise
-        stream.received_data += frame.data
         events: list[Event] = [
             DataReceived(
                 stream_id=frame.stream_id,

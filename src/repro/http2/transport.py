@@ -5,9 +5,9 @@ Two flavours:
 * :class:`InMemoryTransportPair` — a zero-copy duplex pipe for tests and
   benchmarks. Deterministic, no event loop required: calling ``pump()``
   shuttles pending bytes between the two endpoints until quiescent.
-* :func:`open_tcp_pair` / :class:`AsyncH2Transport` — asyncio TCP, used by
-  the generative server/client in :mod:`repro.sww` to demonstrate the full
-  stack over a real socket.
+* :class:`AsyncH2Transport` — asyncio TCP. Only two drivers own one: the
+  client channel (:mod:`repro.http2.channel`) and the server connection
+  loop (:mod:`repro.http2.serverloop`).
 """
 
 from __future__ import annotations
@@ -84,17 +84,11 @@ class InMemoryTransportPair:
 class AsyncH2Transport:
     """Binds an H2Connection to an asyncio stream pair.
 
-    The transport owns the read loop: :meth:`run` reads from the socket,
-    feeds the engine and dispatches events to the ``handler`` coroutine
-    (one call per event). Writers call engine methods then :meth:`flush`.
-
-    For concurrent response streaming the transport also carries a
-    writer-wakeup signal: producers (stream tasks enqueueing bodies, the
-    read loop surfacing WINDOW_UPDATE credit) call :meth:`wake_writer`,
-    and a dedicated writer task parks in :meth:`wait_writable` between
-    scheduling rounds. Socket backpressure is the asyncio native kind —
-    :meth:`flush` awaits ``drain()``, so a slow peer suspends the writer
-    task instead of ballooning the outbound buffer.
+    :meth:`run` reads from the socket, feeds the engine and dispatches
+    events to the ``handler`` coroutine (one call per event); writers call
+    engine methods then :meth:`flush`, which awaits ``drain()`` so a slow
+    peer suspends the writer instead of ballooning the outbound buffer.
+    The owner closes the socket with :meth:`close`.
     """
 
     def __init__(
@@ -107,65 +101,34 @@ class AsyncH2Transport:
         self.reader = reader
         self.writer = writer
         self.closed = asyncio.Event()
-        self._write_wakeup = asyncio.Event()
 
-    def wake_writer(self) -> None:
-        """Signal the writer task that there may be work (new body bytes
-        queued, or fresh flow-control credit)."""
-        self._write_wakeup.set()
-
-    async def wait_writable(self) -> None:
-        """Park until the next :meth:`wake_writer` (level-triggered: a wake
-        that arrives mid-pump is not lost, the next wait returns at once)."""
-        await self._write_wakeup.wait()
-        self._write_wakeup.clear()
+    def _count_io(self, operation: str) -> None:
+        if self.conn.registry.enabled:
+            self.conn.registry.counter(
+                "http2_transport_io_total",
+                "Socket-level writes/reads performed by the async transport",
+                layer="http2",
+                operation=operation,
+            ).inc()
 
     async def flush(self) -> None:
         data = self.conn.data_to_send()
         if data:
-            registry = self.conn.registry
-            if registry.enabled:
-                registry.counter(
-                    "http2_transport_io_total",
-                    "Socket-level writes/reads performed by the async transport",
-                    layer="http2",
-                    operation="write",
-                ).inc()
+            self._count_io("write")
             self.writer.write(data)
             await self.writer.drain()
 
-    async def run(self, handler, close_on_exit: bool = True) -> None:
-        """Read loop: feed bytes to the engine, dispatch events to handler.
-
-        With ``close_on_exit=False`` the socket is left open when the peer
-        half-closes or the loop stops, so the owner can drain in-flight
-        responses first and call :meth:`close` itself.
-        """
-        registry = self.conn.registry
-        try:
-            while not self.closed.is_set():
-                data = await self.reader.read(65536)
-                if not data:
-                    break
-                if registry.enabled:
-                    registry.counter(
-                        "http2_transport_io_total",
-                        "Socket-level writes/reads performed by the async transport",
-                        layer="http2",
-                        operation="read",
-                    ).inc()
-                for event in self.conn.receive_data(data):
-                    await handler(event)
-                await self.flush()
-        finally:
-            self.wake_writer()  # unblock a parked writer task so it can exit
-            if close_on_exit:
-                self.closed.set()
-                self.writer.close()
-                try:
-                    await self.writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+    async def run(self, handler) -> None:
+        """Read loop: feed bytes to the engine and dispatch events to
+        ``handler`` until the peer closes or :meth:`close` is called."""
+        while not self.closed.is_set():
+            data = await self.reader.read(65536)
+            if not data:
+                break
+            self._count_io("read")
+            for event in self.conn.receive_data(data):
+                await handler(event)
+            await self.flush()
 
     async def close(self) -> None:
         self.closed.set()
@@ -174,12 +137,3 @@ class AsyncH2Transport:
             await self.writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-
-async def open_tcp_pair(host: str, port: int, conn: H2Connection) -> AsyncH2Transport:
-    """Dial a TCP connection and wrap it with the given engine."""
-    reader, writer = await asyncio.open_connection(host, port)
-    transport = AsyncH2Transport(conn, reader, writer)
-    conn.initiate_connection()
-    await transport.flush()
-    return transport

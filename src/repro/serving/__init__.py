@@ -24,14 +24,12 @@ changing any of them:
   :class:`~repro.gencache.GenerationCache`-compatible facade over that
   tier;
 * :mod:`repro.serving.protocol` — the length-prefixed JSON control-pipe
-  frames workers ship telemetry over;
-* :mod:`repro.serving.h2util` — a minimal respond-only HTTP/2 server
-  loop shared by the cache tier and the master admin plane.
+  frames workers ship telemetry over (the tier and the master admin plane
+  serve through :class:`~repro.http2.serverloop.ServerLoop`).
 """
 
 from repro.serving.arbiter import Arbiter, ArbiterConfig
 from repro.serving.cachetier import CACHE_AUTHORITY, CacheTierServer
-from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
 from repro.serving.protocol import (
     FrameError,
     encode_frame,
@@ -46,9 +44,6 @@ __all__ = [
     "ArbiterConfig",
     "CACHE_AUTHORITY",
     "CacheTierServer",
-    "MiniH2Server",
-    "MiniRequest",
-    "MiniResponse",
     "FrameError",
     "encode_frame",
     "read_frame",

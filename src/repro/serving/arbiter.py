@@ -70,7 +70,7 @@ from repro.obs import (
     to_openmetrics,
 )
 from repro.serving.cachetier import DEFAULT_FLIGHT_TIMEOUT_S, CacheTierServer
-from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
+from repro.http2.serverloop import MiniRequest, MiniResponse, serve
 from repro.serving.protocol import FrameError, read_frame
 from repro.serving.worker import WorkerOptions, worker_main
 
@@ -179,14 +179,12 @@ class Arbiter:
             cache_sock = self._bind(config.cache_host, config.cache_port)
             self.cache_address = cache_sock.getsockname()[:2]
             self._master_fds.add(cache_sock.fileno())
-            cache_server = await self.tier.server().serve(sock=cache_sock)
+            cache_server = await serve(self.tier.handle, sock=cache_sock, registry=self.registry)
 
         admin_sock = self._bind(config.admin_host, config.admin_port)
         self.admin_address = admin_sock.getsockname()[:2]
         self._master_fds.add(admin_sock.fileno())
-        admin_server = await MiniH2Server(self._admin_handle, registry=self.registry).serve(
-            sock=admin_sock
-        )
+        admin_server = await serve(self._admin_handle, sock=admin_sock, registry=self.registry)
 
         print(f"sww arbiter serving on {host}:{port} workers={config.workers}", flush=True)
         print(f"sww arbiter admin on {self.admin_address[0]}:{self.admin_address[1]}", flush=True)

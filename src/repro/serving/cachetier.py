@@ -48,7 +48,7 @@ import logging
 from dataclasses import dataclass
 
 from repro.gencache.store import DEFAULT_GENCACHE_BYTES, CachedGeneration, GenerationCache
-from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
+from repro.http2.serverloop import MiniRequest, MiniResponse
 
 logger = logging.getLogger("repro.serving.cachetier")
 
@@ -105,7 +105,8 @@ class _Flight:
 
 
 class CacheTierServer:
-    """The tier's request logic; serve it with :class:`MiniH2Server`.
+    """The tier's request logic: serve :meth:`handle` with
+    :func:`repro.http2.serverloop.serve`.
 
     Loop-confined by design: every handler runs on the arbiter's event
     loop and there is no await between reading and mutating the flight
@@ -256,10 +257,6 @@ class CacheTierServer:
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-
-    def server(self) -> MiniH2Server:
-        """An H2 server loop bound to this tier's request logic."""
-        return MiniH2Server(self.handle, registry=self.registry)
 
     def _count(self, operation: str) -> None:
         if self.registry is not None and self.registry.enabled:

@@ -9,18 +9,21 @@ tier in where the in-process cache used to sit, without the generator
 learning anything changed.
 
 Concurrency model: one daemon thread runs a private event loop holding
-one persistent HTTP/2 connection to the tier. Every blocking call
-submits its own coroutine with ``run_coroutine_threadsafe`` — calls are
-*not* serialised, because a ``GET`` parked on a cross-worker flight
-(long-poll) must not block a concurrent ``PUT`` for a different key on
-the same connection. Streams multiplex by id; all engine operations are
-loop-confined and each request allocates its stream id and sends its
-HEADERS without an intervening await, so no lock is needed.
+one persistent :class:`~repro.http2.channel.H2Channel` to the tier.
+Every blocking call submits its own coroutine with
+``run_coroutine_threadsafe`` — calls are *not* serialised, because a
+``GET`` parked on a cross-worker flight (long-poll) must not block a
+concurrent ``PUT`` for a different key on the same connection. Streams
+multiplex by id; all engine operations are loop-confined and the channel
+allocates each stream id and sends its HEADERS without an intervening
+await, so no lock is needed.
 
 Failure model: degrade, never break. A tier that is down, slow, or
 resetting streams makes ``lookup`` return ``None`` (the worker
 generates locally, exactly as with no cache), ``insert`` return False,
 and ``record_coalesced`` a no-op. One reconnect is attempted per call.
+A GOAWAY from the tier fails only the calls it never processed; the
+rest complete on the old connection while new calls open a fresh one.
 """
 
 from __future__ import annotations
@@ -30,17 +33,8 @@ import logging
 import threading
 
 from repro.gencache.store import HIT_LOOKUP_TIME_S, CachedGeneration, GenCacheStats
-from repro.http2.connection import (
-    ConnectionTerminated,
-    DataReceived,
-    H2Connection,
-    ResponseReceived,
-    Role,
-    SettingsAcknowledged,
-    StreamEnded,
-    StreamReset,
-)
-from repro.http2.transport import AsyncH2Transport
+from repro.http2.channel import H2Channel
+from repro.http2.connection import H2Connection, Role
 from repro.serving.cachetier import (
     CACHE_AUTHORITY,
     DEFAULT_FLIGHT_TIMEOUT_S,
@@ -52,35 +46,6 @@ logger = logging.getLogger("repro.serving.remote")
 
 #: Ordinary round-trip budget (connect + handshake + respond).
 DEFAULT_CALL_TIMEOUT_S = 15.0
-
-
-class _Stream:
-    __slots__ = ("future", "status", "headers", "body")
-
-    def __init__(self, future: asyncio.Future) -> None:
-        self.future = future
-        self.status = 0
-        self.headers: dict[bytes, bytes] = {}
-        self.body = bytearray()
-
-
-class _Channel:
-    __slots__ = ("conn", "transport", "run_task", "ready", "dead", "streams")
-
-    def __init__(self, conn: H2Connection, transport: AsyncH2Transport) -> None:
-        self.conn = conn
-        self.transport = transport
-        self.run_task: asyncio.Task | None = None
-        self.ready = asyncio.Event()
-        self.dead = False
-        self.streams: dict[int, _Stream] = {}
-
-    def fail_all(self, exc: Exception) -> None:
-        self.dead = True
-        for stream in self.streams.values():
-            if not stream.future.done():
-                stream.future.set_exception(exc)
-        self.streams.clear()
 
 
 class RemoteGenerationCache:
@@ -113,8 +78,10 @@ class RemoteGenerationCache:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._start_lock = threading.Lock()
-        self._channel: _Channel | None = None
-        self._connect_lock: asyncio.Lock | None = None
+        self._channel: H2Channel | None = None
+        #: Serialises (re)connects on the background loop (asyncio locks
+        #: bind to the loop that first uses them).
+        self._connect_lock = asyncio.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -212,10 +179,12 @@ class RemoteGenerationCache:
         loop = self._loop
         if loop is None:
             return
-        try:
-            asyncio.run_coroutine_threadsafe(self._shutdown(), loop).result(5.0)
-        except Exception:
-            pass
+        channel, self._channel = self._channel, None
+        if channel is not None:
+            try:
+                asyncio.run_coroutine_threadsafe(channel.close(), loop).result(5.0)
+            except Exception:
+                pass
         loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -252,91 +221,6 @@ class RemoteGenerationCache:
     async def _request(
         self, method: str, path: str, body: bytes | None
     ) -> tuple[int, dict[bytes, bytes], bytes]:
-        last_error: Exception | None = None
-        for attempt in range(2):
-            try:
-                channel = await self._ensure_channel()
-                return await self._issue(channel, method, path, body)
-            except (ConnectionError, OSError) as exc:
-                last_error = exc
-                self._channel = None
-        raise last_error if last_error is not None else ConnectionError("cache tier unreachable")
-
-    async def _ensure_channel(self) -> _Channel:
-        if self._connect_lock is None:
-            self._connect_lock = asyncio.Lock()
-        async with self._connect_lock:
-            channel = self._channel
-            if channel is not None and not channel.dead:
-                return channel
-            return await self._connect()
-
-    async def _connect(self) -> _Channel:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        conn = H2Connection(Role.CLIENT, gen_ability=False)
-        transport = AsyncH2Transport(conn, reader, writer)
-        conn.initiate_connection()
-        await transport.flush()
-        channel = _Channel(conn, transport)
-        channel.run_task = asyncio.ensure_future(self._drive(channel))
-        try:
-            await asyncio.wait_for(channel.ready.wait(), self.call_timeout_s)
-        except asyncio.TimeoutError as exc:
-            channel.fail_all(ConnectionError("cache tier handshake timed out"))
-            await transport.close()
-            raise ConnectionError("cache tier handshake timed out") from exc
-        self._channel = channel
-        return channel
-
-    async def _drive(self, channel: _Channel) -> None:
-        conn = channel.conn
-
-        async def on_event(event) -> None:
-            if isinstance(event, SettingsAcknowledged):
-                channel.ready.set()
-            elif isinstance(event, ResponseReceived):
-                stream = channel.streams.get(event.stream_id)
-                if stream is not None:
-                    stream.headers = dict(event.headers)
-                    stream.status = int(stream.headers.get(b":status", b"0"))
-            elif isinstance(event, DataReceived):
-                stream = channel.streams.get(event.stream_id)
-                if stream is not None:
-                    stream.body.extend(event.data)
-                if event.flow_controlled_length > 0:
-                    conn.increment_flow_control_window(event.flow_controlled_length)
-            elif isinstance(event, StreamEnded):
-                stream = channel.streams.pop(event.stream_id, None)
-                if stream is not None and not stream.future.done():
-                    stream.future.set_result(
-                        (stream.status, stream.headers, bytes(stream.body))
-                    )
-            elif isinstance(event, StreamReset):
-                stream = channel.streams.pop(event.stream_id, None)
-                if stream is not None and not stream.future.done():
-                    stream.future.set_exception(
-                        ConnectionError(f"cache tier reset stream {event.stream_id}")
-                    )
-            elif isinstance(event, ConnectionTerminated):
-                channel.fail_all(ConnectionError("cache tier sent GOAWAY"))
-
-        try:
-            await channel.transport.run(on_event)
-        except (ConnectionError, OSError) as exc:
-            channel.fail_all(ConnectionError(str(exc)))
-        finally:
-            channel.fail_all(ConnectionError("cache tier connection closed"))
-
-    async def _issue(
-        self, channel: _Channel, method: str, path: str, body: bytes | None
-    ) -> tuple[int, dict[bytes, bytes], bytes]:
-        conn = channel.conn
-        loop = asyncio.get_running_loop()
-        # Stream-id allocation through send_headers happens with no await
-        # in between, so concurrent _issue coroutines can't interleave ids.
-        stream_id = conn.get_next_available_stream_id()
-        stream = _Stream(loop.create_future())
-        channel.streams[stream_id] = stream
         headers = [
             (b":method", method.encode("ascii")),
             (b":path", path.encode("utf-8")),
@@ -344,21 +228,33 @@ class RemoteGenerationCache:
             (b":authority", self.authority.encode("ascii")),
             (b"user-agent", b"sww-cache-client/1.0"),
         ]
-        conn.send_headers(stream_id, headers, end_stream=body is None)
-        if body is not None:
-            conn.send_data(stream_id, body, end_stream=True)
-        await channel.transport.flush()
-        return await stream.future
+        last_error: Exception | None = None
+        for _attempt in range(2):
+            try:
+                channel = await self._ensure_channel()
+                response = await channel.request(headers, body)
+            except (ConnectionError, OSError) as exc:
+                # A dead channel is replaced by the retry's _ensure_channel.
+                last_error = exc
+                continue
+            return response.status, dict(response.headers), bytes(response.body)
+        raise last_error
 
-    async def _shutdown(self) -> None:
-        channel = self._channel
-        self._channel = None
-        if channel is None:
-            return
-        channel.fail_all(ConnectionError("remote cache closed"))
-        if channel.run_task is not None:
-            channel.run_task.cancel()
-        await channel.transport.close()
+    async def _ensure_channel(self) -> H2Channel:
+        async with self._connect_lock:
+            channel = self._channel
+            if channel is not None and not channel.closed:
+                return channel
+            channel = await H2Channel.open(
+                self.host, self.port, H2Connection(Role.CLIENT, gen_ability=False)
+            )
+            try:
+                await asyncio.wait_for(channel.handshake(), self.call_timeout_s)
+            except (asyncio.TimeoutError, ConnectionError) as exc:
+                await channel.close()
+                raise ConnectionError(f"cache tier handshake failed: {exc!r}") from exc
+            self._channel = channel
+            return channel
 
     def _degraded(self, operation: str, exc: Exception) -> None:
         with self._stats_lock:

@@ -30,7 +30,7 @@ Each heartbeat interval the worker ships, over its control pipe:
 * newly finished wide events (``seq`` greater than the last shipped).
 
 On SIGTERM the worker stops accepting, drains every live session via
-:meth:`~repro.sww.server.ServerSession.shutdown` (in-flight streams
+:meth:`~repro.http2.serverloop.ServerLoop.shutdown` (in-flight streams
 finish and queued writer bytes flush before sockets close), ships a
 final telemetry flush plus a ``bye`` frame, and exits 0. The same path
 runs when ``--max-requests`` (plus a deterministic per-worker jitter, so
@@ -159,8 +159,6 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
         writer = asyncio.StreamWriter(transport, protocol, reader, loop)
         try:
             await server.handle_connection(reader, writer)
-        except (ConnectionError, OSError):
-            pass
         except Exception:
             logger.exception("worker %d: connection handler failed", pid)
 
@@ -241,7 +239,7 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
                     "type": "heartbeat",
                     "worker_id": options.worker_id,
                     "requests": server.requests_served,
-                    "inflight": sum(len(session._tasks) for session in sessions),
+                    "inflight": sum(len(session.driver.tasks) for session in sessions),
                     "connections": len(sessions),
                     "generation_sim_s": generation_sim_s(),
                 }
@@ -266,7 +264,7 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
     sessions = server.sessions()
     if sessions:
         await asyncio.gather(
-            *(session.shutdown(options.drain_timeout_s) for session in sessions),
+            *(session.driver.shutdown(options.drain_timeout_s) for session in sessions),
             return_exceptions=True,
         )
     if conn_tasks:

@@ -8,9 +8,10 @@
     complete, the site is rendered in the GUI."
 
 :class:`GenerativeClient` drives the full flow over either the in-memory
-transport pair (tests/benchmarks — see :meth:`fetch_via_pair`) or asyncio
-TCP (:meth:`fetch_tcp`). Rendering goes through the text-mode renderer;
-the PyQt GUI is out of scope in this headless environment (DESIGN.md §6).
+transport pair (tests/benchmarks — see :meth:`fetch_via_pair`) or an
+asyncio TCP :class:`~repro.http2.channel.H2Channel` (:meth:`fetch_tcp`).
+Rendering goes through the text-mode renderer; the PyQt GUI is out of
+scope in this headless environment (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ from repro.devices.profiles import DeviceProfile, LAPTOP
 from repro.genai.pipeline import GenerationPipeline
 from repro.html import parse_html, serialize
 from repro.html.dom import Document
+from repro.http2.channel import ChannelResponse, H2Channel, StreamResetError
 from repro.http2.connection import (
     DataReceived,
-    GenAbilityNegotiated,
     H2Connection,
     PushPromiseReceived,
     ResponseReceived,
     Role,
-    SettingsAcknowledged,
-    StreamEnded,
-    StreamReset,
 )
-from repro.http2.transport import AsyncH2Transport, InMemoryTransportPair
+from repro.http2.transport import InMemoryTransportPair
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor, ProcessReport
@@ -44,19 +42,6 @@ from repro.sww.renderer import render_text
 logger = logging.getLogger("repro.sww.client")
 
 HeaderList = list[tuple[bytes, bytes]]
-
-
-@dataclass
-class _TcpStream:
-    """Per-stream receive state for the TCP transport (request or push)."""
-
-    path: str
-    #: Request stream the server promised this push on (0 for requests).
-    parent: int = 0
-    status: int = 0
-    headers: HeaderList = field(default_factory=list)
-    body: bytearray = field(default_factory=bytearray)
-    done: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 @dataclass
@@ -471,114 +456,35 @@ class GenerativeClient:
         paths: list[str],
         priorities: list | None = None,
     ) -> list[FetchResult]:
-        """Open one connection, request ``paths`` as concurrent streams,
+        """Open one channel, request ``paths`` as concurrent streams,
         collect every response (and pushed asset), and finish each page."""
         with self.tracer.span("client.connect", host=host, port=port):
             conn = self.new_connection()
-            reader, writer = await asyncio.open_connection(host, port)
-            transport = AsyncH2Transport(conn, reader, writer)
-            conn.initiate_connection()
-            await transport.flush()
-
-        adaptive = None
-        if self.adaptive_window:
-            from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
-
-            import time as _time
-
-            adaptive = AdaptiveReceiveWindow(
-                conn,
-                BdpEstimator(
-                    _time.monotonic,
-                    rtt_s=self.rtt_hint_s,
-                    min_window=conn.local_settings.initial_window_size,
-                ),
+            channel = await H2Channel.open(
+                host, port, conn, adaptive_window=self.adaptive_window, rtt_hint_s=self.rtt_hint_s
             )
-
-        streams: dict[int, _TcpStream] = {}
-        promised: dict[int, _TcpStream] = {}
-        settings_acked = asyncio.Event()
-        negotiated = asyncio.Event()
-
-        async def handler(event) -> None:
-            if isinstance(event, SettingsAcknowledged):
-                settings_acked.set()
-            elif isinstance(event, GenAbilityNegotiated):
-                negotiated.set()
-            elif isinstance(event, ResponseReceived):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.headers = event.headers
-                    state.status = int(dict(event.headers).get(b":status", b"0"))
-            elif isinstance(event, PushPromiseReceived):
-                pushed_path = dict(event.headers).get(b":path", b"").decode("utf-8", "replace")
-                promised[event.promised_stream_id] = _TcpStream(
-                    path=pushed_path, parent=event.stream_id
-                )
-            elif isinstance(event, DataReceived):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.body += event.data
-                # Replenish the consumed credit — the connection window
-                # always (a long-lived multi-stream connection must never
-                # starve the server), and the stream window while the
-                # stream is still open (with BDP-sized small windows, a
-                # response larger than one stream window deadlocks without
-                # this). The adaptive tuner also feeds its rate estimator
-                # and may grow the advertised windows as it learns the path.
-                if event.flow_controlled_length > 0:
-                    if adaptive is not None:
-                        adaptive.on_data(event.stream_id, event.flow_controlled_length)
-                    else:
-                        conn.increment_flow_control_window(event.flow_controlled_length)
-                        stream = conn.streams.get(event.stream_id)
-                        if stream is not None and not stream.closed:
-                            conn.increment_flow_control_window(
-                                event.flow_controlled_length, event.stream_id
-                            )
-            elif isinstance(event, (StreamEnded, StreamReset)):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.done.set()
-
-        run_task = asyncio.create_task(transport.run(handler))
         try:
             with self.tracer.span("client.negotiate") as negotiate_span:
                 # §5.2 ordering: wait for the real settings exchange — the
                 # server's SETTINGS (carrying SETTINGS_GEN_ABILITY) and its
-                # ACK of ours — before any request goes out. A bare yield
-                # here raced the exchange and could read a stale capability.
-                await settings_acked.wait()
-                await negotiated.wait()
+                # ACK of ours — before any request goes out.
+                await channel.handshake()
                 self.server_gen_ability = conn.peer_gen_ability
                 negotiate_span.annotate(
                     advertised=self.gen_ability,
                     server_gen_ability=self.server_gen_ability,
                 )
-            order: list[int] = []
+            pending = []
             for index, path in enumerate(paths):
                 with self.tracer.span("client.request", page=path):
-                    stream_id = conn.get_next_available_stream_id()
-                    streams[stream_id] = _TcpStream(path=path)
-                    order.append(stream_id)
                     priority = priorities[index] if priorities else None
-                    conn.send_headers(
-                        stream_id,
-                        self.request_headers(path, host, priority=priority),
-                        end_stream=True,
+                    pending.append(
+                        channel.send(self.request_headers(path, host, priority=priority))
                     )
-            await transport.flush()
-            await asyncio.gather(*(streams[sid].done.wait() for sid in order))
-            # Every PUSH_PROMISE precedes its parent stream's END_STREAM, so
-            # by now ``promised`` is complete; wait out the pushed bodies.
-            await asyncio.gather(*(state.done.wait() for state in promised.values()))
+            await channel.flush()
+            responses = await asyncio.gather(*pending, return_exceptions=True)
         finally:
-            await transport.close()
-            run_task.cancel()
-            try:
-                await run_task
-            except (asyncio.CancelledError, ConnectionError):
-                pass
+            await channel.close()
 
         logger.info(
             "fetched %d page(s) from %s:%d (server gen-ability=%s)",
@@ -588,22 +494,22 @@ class GenerativeClient:
             self.server_gen_ability,
         )
         results = []
-        for sid in order:
-            state = streams[sid]
-            pushed = {
-                push.path: bytes(push.body)
-                for push in promised.values()
-                if push.parent == sid
-            }
-            header_map = dict(state.headers)
+        for path, response in zip(paths, responses):
+            if isinstance(response, StreamResetError):
+                # A refused or reset stream is an empty status-0 page; the
+                # other pages on the connection still count.
+                response = ChannelResponse(0)
+            elif isinstance(response, BaseException):
+                raise response
+            pushed = {push.path: bytes(push.body) for push in response.pushed}
             if (
-                state.status == 200
-                and header_map.get(b"x-sww-content") == b"prompts"
+                response.status == 200
+                and dict(response.headers).get(b"x-sww-content") == b"prompts"
                 and self.gen_ability
             ):
                 self.generator.provide_assets(pushed)
             result = self._finish(
-                state.path, state.status, state.headers, bytes(state.body), transport="tcp"
+                path, response.status, response.headers, bytes(response.body), transport="tcp"
             )
             result.pushed_assets.update(pushed)
             results.append(result)

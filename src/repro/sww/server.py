@@ -29,22 +29,9 @@ from dataclasses import dataclass, field
 from repro.devices.profiles import DeviceProfile, WORKSTATION
 from repro.genai.pipeline import GenerationPipeline
 from repro.html import parse_html, serialize
-from repro.http2.connection import (
-    AbuseDetected,
-    ConnectionTerminated,
-    Event,
-    H2Connection,
-    PriorityUpdated,
-    RemoteSettingsChanged,
-    RequestReceived,
-    Role,
-    StreamRefused,
-    StreamReset,
-    WindowUpdated,
-)
+from repro.http2.connection import Event, H2Connection, RequestReceived, Role
 from repro.http2.errors import H2Error
-from repro.http2.transport import AsyncH2Transport
-from repro.http2.writer import ConnectionWriter
+from repro.http2.serverloop import MiniRequest, ServerLoop
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.obs.events import annotate_current
 from repro.sww.capability import NegotiationOutcome, ServeMode, ServePolicy, decide_serve_mode
@@ -541,17 +528,31 @@ class GenerativeServer:
             max_concurrent_streams=self.max_concurrent_streams,
         )
         session = self.attach(conn)
-        transport = AsyncH2Transport(conn, reader, writer)
-        conn.initiate_connection()
-        await transport.flush()
-        await session.run(transport, concurrent=self.concurrent_streams)
+        session.driver = ServerLoop(
+            conn,
+            reader,
+            writer,
+            session._serve_stream,
+            registry=self.registry,
+            priorities_enabled=self.priorities_enabled,
+            # Serial seed behaviour: handle every event inline on the loop.
+            inline=None if self.concurrent_streams else session.handle_event,
+            on_protocol_error=session._note_protocol_error,
+        )
+        probe = asyncio.create_task(session._stall_probe())
+        try:
+            await session.driver.run()
+        finally:
+            probe.cancel()
+            await asyncio.gather(probe, return_exceptions=True)
 
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
-        """Listen on TCP; each connection gets its own engine + session.
+        """Listen on TCP; each connection gets its own engine + session,
+        driven by the shared :class:`~repro.http2.serverloop.ServerLoop`.
 
         With :attr:`concurrent_streams` (the default) every request stream
-        becomes its own asyncio task, generation runs off the event loop,
-        and responses interleave through the flow-control-aware
+        is handled as its own task, generation runs off the event loop,
+        and responses interleave through the loop's flow-control-aware
         :class:`~repro.http2.writer.ConnectionWriter`. Setting it to False
         restores the serial seed behaviour for baseline comparisons.
         """
@@ -570,26 +571,26 @@ class ServerSession:
     * :meth:`handle_event` — synchronous, used by the in-memory transport
       (tests, benchmarks, the CLI demo). One request is served start to
       finish, body shipped in one ``send_data`` call.
-    * :meth:`run` — the asyncio mode. The read loop dispatches each
-      ``RequestReceived`` into its own task (:meth:`_serve_stream`), the
+    * the asyncio mode, where :meth:`GenerativeServer.handle_connection`
+      runs the session on the shared
+      :class:`~repro.http2.serverloop.ServerLoop` (the same loop the cache
+      tier and the arbiter admin plane use). The loop hands each finished
+      request stream to :meth:`_serve_stream` as its own task; the
       CPU-heavy request logic runs on a thread executor so the event loop
-      never blocks, and finished bodies are queued on a
-      :class:`~repro.http2.writer.ConnectionWriter` whose dedicated task
-      interleaves DATA frames round-robin within flow-control credit,
-      waking on WINDOW_UPDATE. On peer GOAWAY/EOF the session drains
-      in-flight streams before the socket closes.
+      never blocks, and the response goes back through the loop's
+      writer, which interleaves DATA frames by urgency within flow-control
+      credit. On peer GOAWAY/EOF the loop drains in-flight streams before
+      the socket closes.
     """
 
     def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
         self.server = server
         self.conn = conn
-        self.responses: list[ServedResponse] = []
-        self.writer: ConnectionWriter | None = None
+        self.responses_sent = 0
         #: Peak event-loop stall the probe observed on this connection.
         self.max_stall_s = 0.0
-        self._transport: AsyncH2Transport | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._draining = False
+        #: The asyncio connection loop (None on the in-memory transport).
+        self.driver: ServerLoop | None = None
         server._sessions.add(self)
 
     # ------------------------------------------------------------------ #
@@ -597,7 +598,7 @@ class ServerSession:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _parse_request(event: RequestReceived):
+    def _parse_request(event: RequestReceived | MiniRequest):
         """Extract (path, authority, client_models, trace_context)."""
         from repro.obs import TRACEPARENT_HEADER, parse_traceparent
         from repro.sww.model_negotiation import MODELS_HEADER, parse_models_header
@@ -612,12 +613,35 @@ class ServerSession:
         trace_context = parse_traceparent(headers.get(TRACEPARENT_HEADER))
         return path, authority, client_models, trace_context
 
-    def _should_push(self, response: ServedResponse) -> bool:
-        return (
+    def _pushes(self, response: ServedResponse, page_path: str, authority: bytes) -> list:
+        """``(request_headers, response_headers, body)`` for every generated
+        asset to push with a server-generated page (empty unless pushing
+        is on and the peer allows it)."""
+        if not (
             self.server.push_assets
             and response.mode == ServeMode.SERVER_GENERATED
             and self.conn.peer_settings.enable_push
-        )
+        ):
+            return []
+        cached = self.server._server_generated.get(page_path)
+        if cached is None:
+            return []
+        _html, assets, _time, _energy = cached
+        pushes = []
+        for asset_path, data in assets.items():
+            request_headers = [
+                (b":method", b"GET"),
+                (b":path", asset_path.encode("utf-8")),
+                (b":scheme", b"https"),
+                (b":authority", authority),
+            ]
+            response_headers = [
+                (b":status", b"200"),
+                (b"content-type", b"image/png"),
+                (b"content-length", str(len(data)).encode()),
+            ]
+            pushes.append((request_headers, response_headers, data))
+        return pushes
 
     # ------------------------------------------------------------------ #
     # Synchronous mode (in-memory transport)
@@ -631,7 +655,7 @@ class ServerSession:
                 # Admin traffic never lands in the wide-event ring, same
                 # as it never counts under sww_requests_total.
                 response = admin.respond(path)
-                self.responses.append(response)
+                self.responses_sent += 1
                 self.conn.send_headers(event.stream_id, response.headers)
                 self.conn.send_data(event.stream_id, response.body, end_stream=True)
                 return
@@ -650,139 +674,34 @@ class ServerSession:
                 record.finish(status=500, error=type(exc).__name__)
                 raise
             record.set(body_bytes=len(response.body))
-            self.responses.append(response)
+            self.responses_sent += 1
             try:
                 self.conn.send_headers(event.stream_id, response.headers)
-                if self._should_push(response):
-                    # Push the freshly generated media before closing the
-                    # page stream, so the naive client never issues
-                    # follow-up GETs.
-                    self._push_generated_assets(event.stream_id, path, authority)
+                # Push the freshly generated media before closing the page
+                # stream, so the naive client never issues follow-up GETs.
+                for request_headers, response_headers, data in self._pushes(
+                    response, path, authority
+                ):
+                    self.conn.push_stream(event.stream_id, request_headers, response_headers, data)
                 self.conn.send_data(event.stream_id, response.body, end_stream=True)
             except H2Error as exc:
                 record.finish(status=response.status, error=type(exc).__name__)
                 raise
             record.finish(status=response.status)
 
-    def _push_generated_assets(
-        self, stream_id: int, page_path: str, authority: bytes, writer: ConnectionWriter | None = None
-    ) -> None:
-        """Promise and send generated assets; bodies go through ``writer``
-        (flow-controlled, interleaved) when one is provided."""
-        cached = self.server._server_generated.get(page_path)
-        if cached is None:
-            return
-        _html, assets, _time, _energy = cached
-        for asset_path, data in assets.items():
-            request_headers = [
-                (b":method", b"GET"),
-                (b":path", asset_path.encode("utf-8")),
-                (b":scheme", b"https"),
-                (b":authority", authority),
-            ]
-            response_headers = [
-                (b":status", b"200"),
-                (b"content-type", b"image/png"),
-                (b"content-length", str(len(data)).encode()),
-            ]
-            if writer is None:
-                self.conn.push_stream(stream_id, request_headers, response_headers, data)
-            else:
-                promised_id = self.conn.promise_stream(stream_id, request_headers, response_headers)
-                writer.enqueue(promised_id, data, end_stream=True)
-
     # ------------------------------------------------------------------ #
     # Concurrent asyncio mode
     # ------------------------------------------------------------------ #
 
-    async def run(self, transport: AsyncH2Transport, concurrent: bool = True) -> None:
-        """Drive one connection to completion over the asyncio transport."""
-        self._transport = transport
-        self.writer = ConnectionWriter(
-            self.conn,
-            registry=self.server.registry,
-            priorities_enabled=self.server.priorities_enabled,
-        )
-        writer_task = asyncio.create_task(self._writer_loop())
-        probe_task = asyncio.create_task(self._stall_probe())
-        dispatch = self._dispatch_concurrent if concurrent else self._dispatch_serial
-        try:
-            await transport.run(dispatch, close_on_exit=False)
-            await self.drain()
-        finally:
-            for task in (probe_task, writer_task):
-                task.cancel()
-            for task in (probe_task, writer_task):
-                try:
-                    await task
-                except (asyncio.CancelledError, ConnectionError, OSError):
-                    pass
-            # Any response still queued when the connection dies must not
-            # leave its wide event open (leaked ring entries): finish each
-            # with a connection-closed error.
-            if self.writer is not None:
-                self.writer.abort_pending()
-            await transport.close()
+    def _note_protocol_error(self, detail: str) -> None:
+        """Non-clean GOAWAYs and abuse are pushed flight-recorder triggers."""
+        if self.server.recorder is not None:
+            self.server.recorder.note("protocol-error", detail)
 
-    async def _dispatch_serial(self, event: Event) -> None:
-        """Seed behaviour: handle everything inline on the event loop."""
-        self.handle_event(event)
-        if isinstance(event, ConnectionTerminated):
-            self._draining = True
-            self._note_termination(event)
-
-    def _note_termination(self, event: ConnectionTerminated) -> None:
-        """A non-clean GOAWAY is a pushed flight-recorder trigger."""
-        if self.server.recorder is not None and int(event.error_code) != 0:
-            self.server.recorder.note(
-                "protocol-error",
-                f"connection terminated with GOAWAY error code {int(event.error_code)}",
-            )
-
-    async def _dispatch_concurrent(self, event: Event) -> None:
-        if isinstance(event, RequestReceived):
-            if self._draining:
-                logger.info("ignoring stream %d received after GOAWAY", event.stream_id)
-                return
-            task = asyncio.create_task(self._serve_stream(event))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        elif isinstance(event, (WindowUpdated, RemoteSettingsChanged)):
-            # Fresh flow-control credit: resume any parked response stream.
-            self._transport.wake_writer()
-        elif isinstance(event, ConnectionTerminated):
-            self._draining = True
-            self._note_termination(event)
-        elif isinstance(event, StreamReset):
-            # The writer drops the queue for a dead stream on its next
-            # scheduling round; just make sure that round happens.
-            self._transport.wake_writer()
-        elif isinstance(event, PriorityUpdated):
-            # Mid-response reprioritisation: move the queued body between
-            # urgency buckets and pump — a promotion should take effect on
-            # the very next frame.
-            if self.writer is not None and self.writer.reprioritize(
-                event.stream_id, event.urgency, event.incremental
-            ):
-                self._transport.wake_writer()
-        elif isinstance(event, StreamRefused):
-            logger.info(
-                "refused stream %d over MAX_CONCURRENT_STREAMS", event.stream_id
-            )
-        elif isinstance(event, AbuseDetected):
-            # The engine already sent GOAWAY(ENHANCE_YOUR_CALM); surface
-            # the incident to the flight recorder and stop taking streams.
-            logger.warning("abusive peer: %s after %d occurrences", event.kind, event.count)
-            self._draining = True
-            if self.server.recorder is not None:
-                self.server.recorder.note(
-                    "protocol-error", f"abuse detected: {event.kind} x{event.count}"
-                )
-
-    async def _serve_stream(self, event: RequestReceived) -> None:
+    async def _serve_stream(self, request: MiniRequest) -> None:
         """One request stream, start to finish, as its own task."""
-        stream_id = event.stream_id
-        path, authority, client_models, trace_context = self._parse_request(event)
+        stream_id = request.stream_id
+        path, authority, client_models, trace_context = self._parse_request(request)
         registry = self.server.registry
         admin = self.server.admin
         is_admin = admin is not None and admin.matches(authority)
@@ -839,27 +758,19 @@ class ServerSession:
         finally:
             if inflight is not None:
                 inflight.dec()
-        if self._transport is None or self._transport.closed.is_set():
-            if record is not None:
-                record.finish(status=response.status, error="connection-closed")
-            return
-        self.responses.append(response)
+        self.responses_sent += 1
         if record is not None:
             # Status and body size are known now; the writer annotates the
             # wire-side fields and closes the event when the last frame
             # leaves (or the stream dies), covering the full lifetime.
             record.set(status=response.status, body_bytes=len(response.body))
-        try:
-            self.conn.send_headers(stream_id, response.headers)
-            if self._should_push(response):
-                self._push_generated_assets(stream_id, path, authority, writer=self.writer)
-            self.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
-        except H2Error as exc:
-            logger.warning("stream %d closed under its response; dropping", stream_id)
-            if record is not None:
-                record.finish(status=response.status, error=type(exc).__name__)
-            return
-        self._transport.wake_writer()
+        self.driver.respond(
+            stream_id,
+            response.headers,
+            response.body,
+            event=record,
+            pushes=self._pushes(response, path, authority),
+        )
 
     def _handle_in_thread(
         self, record, path: str, stream_id: int, gen_ability: bool, client_models, trace_context
@@ -873,70 +784,18 @@ class ServerSession:
             with binding:
                 return self.server.handle_request(path, gen_ability, client_models, trace_context)
 
-    async def _writer_loop(self) -> None:
-        """Dedicated writer task: pump the scheduler, honour backpressure."""
-        transport = self._transport
-        while not transport.closed.is_set():
-            await transport.wait_writable()
-            while not self.writer.idle:
-                wrote = self.writer.pump()
-                try:
-                    await transport.flush()
-                except (ConnectionError, OSError):
-                    return
-                if wrote == 0:
-                    # Every queued stream is parked on flow control; sleep
-                    # until WINDOW_UPDATE (or new work) wakes us.
-                    break
-
-    async def drain(self, timeout_s: float = 30.0) -> None:
-        """Graceful close: finish in-flight streams, flush queued bytes."""
-        self._draining = True
-        if self._tasks:
-            pending = {task for task in self._tasks if not task.done()}
-            if pending:
-                done, still_pending = await asyncio.wait(pending, timeout=timeout_s)
-                for task in still_pending:
-                    task.cancel()
-        # Give the writer a last chance to move whatever credit allows.
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self.writer is not None and not self.writer.idle:
-            wrote = self.writer.pump()
-            try:
-                await self._transport.flush()
-            except (ConnectionError, OSError):
-                return
-            if wrote == 0 or asyncio.get_running_loop().time() >= deadline:
-                break
-        try:
-            await self._transport.flush()
-        except (ConnectionError, OSError):
-            pass
-
-    async def shutdown(self, timeout_s: float = 30.0) -> None:
-        """Server-initiated graceful close (worker drain path).
-
-        Marks the session draining so late streams are refused, reuses
-        :meth:`drain` to finish in-flight streams and flush every queued
-        writer byte within flow-control credit, then closes the transport —
-        which unblocks the read loop so :meth:`run` returns.
-        """
-        await self.drain(timeout_s)
-        if self._transport is not None:
-            await self._transport.close()
-
     def debug_state(self) -> dict:
         """Live connection state for the admin plane's ``/debug/streams``."""
         state: dict = {
             "gen_ability_negotiated": self.conn.gen_ability_negotiated,
             "connection_window": self.conn.outbound_window.available,
-            "draining": self._draining,
-            "inflight_tasks": len(self._tasks),
-            "responses_sent": len(self.responses),
+            "draining": self.driver is not None and self.driver.draining,
+            "inflight_tasks": len(self.driver.tasks) if self.driver is not None else 0,
+            "responses_sent": self.responses_sent,
             "max_stall_s": round(self.max_stall_s, 6),
         }
-        if self.writer is not None:
-            state["writer"] = self.writer.debug_state()
+        if self.driver is not None:
+            state["writer"] = self.driver.writer.debug_state()
         return state
 
     async def _stall_probe(self) -> None:
@@ -966,6 +825,8 @@ class ServerSession:
         while True:
             before = loop.time()
             await asyncio.sleep(_STALL_PROBE_INTERVAL_S)
+            if self.driver.draining:
+                return  # the peer is gone: later stalls are not this connection's
             stall = max(0.0, loop.time() - before - _STALL_PROBE_INTERVAL_S)
             if stall > self.max_stall_s:
                 self.max_stall_s = stall

@@ -2,7 +2,10 @@
 rapid-reset accounting (CVE-2023-44487), and control-frame flood limits."""
 
 from repro.http2.connection import (
+    MAX_HEADER_BLOCK_BYTES,
+    MAX_HEADER_LIST_BYTES,
     AbuseDetected,
+    ConnectionTerminated,
     H2Connection,
     RequestReceived,
     Role,
@@ -10,7 +13,8 @@ from repro.http2.connection import (
     StreamReset,
 )
 from repro.http2.errors import ErrorCode
-from repro.http2.frames import PingFrame, SettingsFrame
+from repro.http2.frames import ContinuationFrame, HeadersFrame, PingFrame, SettingsFrame
+from repro.http2.hpack import encode_string
 from repro.http2.settings import Setting
 from repro.http2.transport import InMemoryTransportPair
 from repro.obs import MetricsRegistry
@@ -163,8 +167,75 @@ class TestControlFloods:
         for _ in range(9):
             pair.server.conn.receive_data(PingFrame(data=b"\0" * 8).serialize())
         pair.pump()
-        from repro.http2.connection import ConnectionTerminated
-
         terms = [e for e in pair.client.events if isinstance(e, ConnectionTerminated)]
         assert len(terms) == 1
         assert terms[0].debug_data == b"ping-flood"
+
+
+class TestHeaderBlockLimits:
+    """CONTINUATION floods (CVE-2024-27316 class) and HPACK blocks that
+    decode to oversized header lists end in GOAWAY(ENHANCE_YOUR_CALM)
+    with bounded memory."""
+
+    @staticmethod
+    def _buffered(conn) -> int:
+        state = conn._expect_continuation
+        return len(state[1]) if state is not None and state[1] is not None else 0
+
+    @staticmethod
+    def _goaway(pair):
+        pair.pump()
+        terms = [e for e in pair.client.events if isinstance(e, ConnectionTerminated)]
+        assert len(terms) == 1
+        return terms[0]
+
+    def test_continuation_flood_is_cut_off_with_bounded_buffer(self):
+        pair = make_pair()
+        server = pair.server.conn
+        fragment = b"\x00" * 16384
+        events = server.receive_data(HeadersFrame(stream_id=1, header_block=b"", end_headers=False).serialize())
+        peak = 0
+        for _ in range(4096):  # 64 MiB of header block if nothing stops it
+            events += server.receive_data(ContinuationFrame(stream_id=1, header_block=fragment).serialize())
+            peak = max(peak, self._buffered(server))
+        assert peak < 1 << 20
+        assert peak <= MAX_HEADER_BLOCK_BYTES + len(fragment)
+        abuses = [e for e in events if isinstance(e, AbuseDetected)]
+        assert [a.kind for a in abuses] == ["header-block-size"]
+        assert not any(isinstance(e, RequestReceived) for e in events)
+        # The end of the oversized block is consumed without error.
+        server.receive_data(ContinuationFrame(stream_id=1, header_block=fragment, end_headers=True).serialize())
+        assert server._expect_continuation is None
+        goaway = self._goaway(pair)
+        assert goaway.error_code == ErrorCode.ENHANCE_YOUR_CALM
+        assert goaway.debug_data == b"header-block-size"
+
+    def test_header_list_over_the_cap_is_abuse(self):
+        pair = make_pair()
+        # One 4,000-byte field enters the dynamic table, then 100 one-byte
+        # references to it: a ~4 KiB block decoding to ~400 KiB.
+        block = (
+            b"\x40"
+            + encode_string(b"x-big", huffman=False)
+            + encode_string(b"v" * 4000, huffman=False)
+            + bytes([0x80 | 62]) * 100
+        )
+        assert len(block) < MAX_HEADER_LIST_BYTES
+        events = pair.server.conn.receive_data(
+            HeadersFrame(stream_id=1, header_block=block, end_stream=True).serialize()
+        )
+        abuses = [e for e in events if isinstance(e, AbuseDetected)]
+        assert [a.kind for a in abuses] == ["header-list-size"]
+        assert abuses[0].count > MAX_HEADER_LIST_BYTES
+        assert not any(isinstance(e, RequestReceived) for e in events)
+        assert self._goaway(pair).error_code == ErrorCode.ENHANCE_YOUR_CALM
+
+    def test_blocks_under_the_caps_are_served(self):
+        pair = make_pair()
+        stream_id = pair.client.conn.get_next_available_stream_id()
+        big = REQUEST + [(b"x-pad", b"p" * 60000)]
+        pair.client.conn.send_headers(stream_id, big, end_stream=True)
+        pair.pump()
+        requests = [e for e in pair.server.events if isinstance(e, RequestReceived)]
+        assert [r.headers for r in requests] == [big]
+        assert not any(isinstance(e, AbuseDetected) for e in pair.server.events)

@@ -220,6 +220,22 @@ class TestFlowControlIntegration:
         resets = h2_pair.client.take_events(StreamReset)
         assert resets[0].error_code == ErrorCode.REFUSED_STREAM
 
+    def test_data_in_flight_past_our_reset_is_dropped_and_credited(self, h2_pair):
+        conn = h2_pair.client.conn
+        server = h2_pair.server.conn
+        sid = conn.get_next_available_stream_id()
+        conn.send_headers(sid, [(b":method", b"PUT"), (b":path", b"/r")])
+        h2_pair.pump()
+        h2_pair.server.take_events()
+        window = server.inbound_window.available
+        server.reset_stream(sid, ErrorCode.CANCEL)
+        # Sent before the client saw the RST_STREAM (RFC 9113 §5.4.2).
+        conn.send_data(sid, b"x" * 5000)
+        h2_pair.pump()
+        assert h2_pair.server.take_events(DataReceived) == []
+        assert server.inbound_window.available == window
+        assert any(u.stream_id == 0 and u.delta == 5000 for u in h2_pair.client.take_events(WindowUpdated))
+
 
 class TestByteAccounting:
     def test_bytes_sent_and_received_match(self, h2_pair):

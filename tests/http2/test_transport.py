@@ -4,19 +4,15 @@ import asyncio
 
 import pytest
 
+from repro.http2.channel import H2Channel
 from repro.http2.connection import (
     DataReceived,
     H2Connection,
-    RequestReceived,
     Role,
     StreamEnded,
 )
-from repro.http2.transport import (
-    AsyncH2Transport,
-    Endpoint,
-    InMemoryTransportPair,
-    open_tcp_pair,
-)
+from repro.http2.serverloop import MiniResponse, ServerLoop
+from repro.http2.transport import Endpoint, InMemoryTransportPair
 
 
 class TestEndpoint:
@@ -64,57 +60,36 @@ class TestInMemoryPair:
 
 
 class TestTcpTransport:
-    """End-to-end over a real asyncio TCP socket."""
+    """End-to-end over a real asyncio TCP socket: the client channel
+    against the server connection loop."""
 
     def test_request_response_over_tcp(self):
         async def scenario():
-            server_conn_holder = {}
+            async def handler(request):
+                return MiniResponse(body=b"tcp-works", content_type="text/plain")
 
             async def on_connect(reader, writer):
                 conn = H2Connection(Role.SERVER, gen_ability=True)
-                server_conn_holder["conn"] = conn
-                transport = AsyncH2Transport(conn, reader, writer)
-                conn.initiate_connection()
-                await transport.flush()
-
-                async def handler(event):
-                    if isinstance(event, RequestReceived):
-                        conn.send_headers(event.stream_id, [(b":status", b"200")])
-                        conn.send_data(event.stream_id, b"tcp-works", end_stream=True)
-
-                await transport.run(handler)
+                await ServerLoop(conn, reader, writer, handler).run()
 
             server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
 
             client_conn = H2Connection(Role.CLIENT, gen_ability=True)
-            transport = await open_tcp_pair("127.0.0.1", port, client_conn)
-
-            body = bytearray()
-            done = asyncio.Event()
-
-            async def handler(event):
-                if isinstance(event, DataReceived):
-                    body.extend(event.data)
-                if isinstance(event, StreamEnded):
-                    done.set()
-
-            run_task = asyncio.create_task(transport.run(handler))
-            sid = client_conn.get_next_available_stream_id()
-            client_conn.send_headers(
-                sid,
-                [(b":method", b"GET"), (b":path", b"/"), (b":scheme", b"https"), (b":authority", b"t")],
-                end_stream=True,
+            channel = await H2Channel.open("127.0.0.1", port, client_conn)
+            response = await asyncio.wait_for(
+                channel.request(
+                    [(b":method", b"GET"), (b":path", b"/"), (b":scheme", b"https"), (b":authority", b"t")]
+                ),
+                timeout=5,
             )
-            await transport.flush()
-            await asyncio.wait_for(done.wait(), timeout=5)
             negotiated = client_conn.gen_ability_negotiated
-            await transport.close()
-            run_task.cancel()
+            await channel.close()
             server.close()
             await server.wait_closed()
-            return bytes(body), negotiated
+            return response.status, bytes(response.body), negotiated
 
-        body, negotiated = asyncio.run(scenario())
+        status, body, negotiated = asyncio.run(scenario())
+        assert status == 200
         assert body == b"tcp-works"
         assert negotiated

@@ -218,3 +218,30 @@ class TestInterleaving:
         assert tiny_result.status == 200
         assert "tiny" in tiny_result.received_html
         assert "/generated/" in big_result.received_html
+
+
+class TestRefusedStreams:
+    def test_paths_past_max_concurrent_streams_come_back_as_status_zero(self):
+        """A refused stream (RST_STREAM REFUSED_STREAM over the server's
+        MAX_CONCURRENT_STREAMS) costs only its own page: fetch_many_tcp
+        still returns one result per path, in order."""
+
+        async def scenario():
+            store = SiteStore()
+            html = "<html><body><p>tiny</p></body></html>"
+            store.add_page(PageResource("/tiny", html, html))
+            server = GenerativeServer(store, gen_ability=True, max_concurrent_streams=1)
+            listener = await server.serve_forever("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                client = GenerativeClient(device=LAPTOP, gen_ability=False)
+                return await asyncio.wait_for(
+                    client.fetch_many_tcp("127.0.0.1", port, ["/tiny"] * 3), timeout=30
+                )
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        results = asyncio.run(scenario())
+        assert [r.status for r in results] == [200, 0, 0]
+        assert "tiny" in results[0].received_html

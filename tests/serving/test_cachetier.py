@@ -2,10 +2,14 @@
 
 import asyncio
 import threading
+import time
 
 from repro.gencache.store import CachedGeneration, GenerationCache
+from repro.http2.connection import H2Connection, RequestReceived, Role
+from repro.http2.frames import GoAwayFrame
+from repro.http2.serverloop import serve
 from repro.obs import MetricsRegistry
-from repro.serving.cachetier import CacheTierServer
+from repro.serving.cachetier import CacheTierServer, encode_envelope
 from repro.serving.remote import RemoteGenerationCache
 
 
@@ -21,7 +25,7 @@ def _run_with_tier(flight_timeout_s, body):
 
     async def main():
         tier = CacheTierServer(registry=MetricsRegistry(), flight_timeout_s=flight_timeout_s)
-        server = await tier.server().serve(host="127.0.0.1", port=0)
+        server = await serve(tier.handle, host="127.0.0.1", port=0, registry=tier.registry)
         port = server.sockets[0].getsockname()[1]
         try:
             return await asyncio.get_running_loop().run_in_executor(
@@ -136,3 +140,68 @@ def test_tier_server_interface_matches_local_cache():
         assert hasattr(remote, name), name
     assert remote.hit_time_s == local.hit_time_s
     remote.close()
+
+
+def test_goaway_lets_processed_tier_calls_finish():
+    """RFC 9113 §6.8 on the worker's tier connection: a GOAWAY fails only
+    the calls above its last_stream_id; a call the tier already processed
+    still returns its hit, and the unprocessed one retries on a fresh
+    connection."""
+    envelope = encode_envelope(b"cached-bytes", "alt", 3.0, 0.01)
+    connections = []
+
+    async def on_connect(reader, writer):
+        connections.append(writer)
+        first_connection = len(connections) == 1
+        conn = H2Connection(Role.SERVER)
+        conn.initiate_connection()
+        writer.write(conn.data_to_send())
+        pending = []
+        while data := await reader.read(65536):
+            for event in conn.receive_data(data):
+                if not isinstance(event, RequestReceived):
+                    continue
+                if not first_connection:
+                    conn.send_headers(event.stream_id, [(b":status", b"404"), (b"x-sww-cache", b"lead")])
+                    conn.send_data(event.stream_id, b"", end_stream=True)
+                    continue
+                pending.append(event.stream_id)
+                if len(pending) == 2:
+                    writer.write(conn.data_to_send())
+                    writer.write(GoAwayFrame(last_stream_id=pending[0]).serialize())
+                    conn.send_headers(pending[0], [(b":status", b"200"), (b"x-sww-cache", b"hit")])
+                    conn.send_data(pending[0], envelope, end_stream=True)
+            writer.write(conn.data_to_send())
+        writer.close()
+
+    def body(port):
+        cache = RemoteGenerationCache("127.0.0.1", port, call_timeout_s=5.0)
+        results = {}
+
+        def lookup(name):
+            results[name] = cache.lookup(_Key(name))
+
+        first = threading.Thread(target=lookup, args=("first",))
+        first.start()
+        time.sleep(0.2)  # "first" owns stream 1 before "second" opens stream 3
+        second = threading.Thread(target=lookup, args=("second",))
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=10)
+        cache.close()
+        return results, cache.errors
+
+    async def main():
+        server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            return await asyncio.get_running_loop().run_in_executor(None, body, port)
+        finally:
+            server.close()
+
+    results, errors = asyncio.run(main())
+    hit = results["first"]
+    assert isinstance(hit, CachedGeneration) and hit.payload == b"cached-bytes"
+    assert results["second"] is None  # retried on a new connection: told to lead
+    assert errors == 0
+    assert len(connections) == 2
