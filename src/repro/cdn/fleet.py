@@ -97,6 +97,10 @@ class _ItemProfile:
     item: CatalogItem
     gkey: GenerationKey
     digest: str
+    #: Every edge in the digest's ring preference order; ``walk[0]`` is
+    #: the ring owner. The fleet's edge set is fixed at construction, so
+    #: the walk is too.
+    walk: tuple[str, ...]
     gen_time_s: float
     gen_energy_wh: float
     prompt_bytes: int
@@ -205,7 +209,8 @@ class EdgeFleet:
     # ------------------------------------------------------------------ #
 
     def profile(self, key: str) -> _ItemProfile:
-        """The item's digest and modelled generation cost (memoised)."""
+        """The item's digest, ring walk and modelled generation cost
+        (memoised: ``serve`` does no hashing once an item is profiled)."""
         cached = self._profiles.get(key)
         if cached is not None:
             return cached
@@ -216,10 +221,12 @@ class EdgeFleet:
         seconds = self.config.steps * self.config.model.step_time(
             self.config.device, item.width, item.height
         )
+        digest = gkey.digest
         prof = _ItemProfile(
             item=item,
             gkey=gkey,
-            digest=gkey.digest,
+            digest=digest,
+            walk=tuple(self.ring.preference(digest, len(self.edges))),
             gen_time_s=seconds,
             gen_energy_wh=self.config.device.image_energy_wh(seconds),
             prompt_bytes=item.prompt_bytes(),
@@ -292,7 +299,7 @@ class EdgeFleet:
             )
 
         # 3. Ring-owner probe: cross-edge peering before paying anything.
-        owner = self.edges[self.ring.owner(prof.digest)]
+        owner = self.edges[prof.walk[0]]
         if owner.name != home.name and owner.gencache.peek(prof.gkey, touch=True) is not None:
             self._record_hit(prof)
             self._insert(home, prof)  # pull-through replica at the home edge
@@ -308,13 +315,15 @@ class EdgeFleet:
                 )
             )
 
-        # 4. Miss everywhere: this request leads.
+        # 4. Miss everywhere: this request leads. Bounded load: generate
+        # at the first edge on the key's walk under the backlog cap; when
+        # every edge is at or over it, pull the media from the origin.
         self.ledger.misses += 1
-        backlog = {name: edge.backlog_s(now_s) for name, edge in self.edges.items()}
-        site_name = self.ring.owner_bounded(prof.digest, backlog, self.config.max_backlog_s)
-        if backlog[site_name] >= self.config.max_backlog_s:
-            return self._finish(self._origin_pull(region, prof, home, now_s, user_rtt))
-        return self._finish(self._generate(region, prof, home, self.edges[site_name], now_s, user_rtt))
+        for name in prof.walk:
+            site = self.edges[name]
+            if site.backlog_s(now_s) < self.config.max_backlog_s:
+                return self._finish(self._generate(region, prof, home, site, now_s, user_rtt))
+        return self._finish(self._origin_pull(region, prof, home, now_s, user_rtt))
 
     # ------------------------------------------------------------------ #
     # Lead paths
@@ -340,7 +349,7 @@ class EdgeFleet:
         # The artifact lands at its canonical ring owner and the home
         # edge; inserts are safe pre-completion because the flight masks
         # every probe until ``done``.
-        owner = self.edges[self.ring.owner(prof.digest)]
+        owner = self.edges[prof.walk[0]]
         for edge in {site.name, owner.name, home.name}:
             self._insert(self.edges[edge], prof)
         peer_bytes = prof.item.media_bytes if cross_edge else 0

@@ -208,6 +208,8 @@ class HashRing:
         """
         if not self._points:
             raise LookupError("hash ring is empty")
+        if k < 1:
+            raise ValueError("k must be positive")
         k = min(k, len(self._nodes))
         # (h,) sorts before any (h, node) pair, so this lands on the first
         # ring point at or clockwise-after the key's position.

@@ -47,8 +47,18 @@ class GenerationKey:
 
     @property
     def digest(self) -> str:
-        """Stable hex digest used as the store/wire key."""
-        return stable_hash(
+        """Stable hex digest used as the store/wire key.
+
+        Hashed on first access and memoised on the instance (outside the
+        dataclass fields, so equality, ``hash``, ``repr`` and
+        ``dataclasses.replace`` never see it): every cache probe, insert
+        and ring walk reads it, and a frozen key's inputs cannot change.
+        """
+        try:
+            return self._digest
+        except AttributeError:
+            pass
+        digest = stable_hash(
             "gencache-key",
             self.model,
             self.prompt,
@@ -58,6 +68,8 @@ class GenerationKey:
             self.content_type,
             *(part for pair in self.extra for part in pair),
         )[:16].hex()
+        object.__setattr__(self, "_digest", digest)
+        return digest
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return f"gen:{self.digest}"

@@ -57,6 +57,7 @@ class FetchResult:
     #: Whether the server shipped prompts (x-sww-content: prompts).
     sww_mode: bool
     #: The document after client-side generation (== received when naive).
+    #: Left empty, like ``rendered``, unless the response is ``text/html``.
     document: Document = field(default_factory=Document)
     report: ProcessReport | None = None
     rendered: str = ""
@@ -173,6 +174,10 @@ class GenerativeClient:
     ) -> FetchResult:
         header_map = {name: value for name, value in headers}
         sww_mode = header_map.get(b"x-sww-content") == b"prompts"
+        # Only HTML is parsed and rendered: tokenizing an image body as
+        # HTML costs ~30 ms per 30 KB PNG and yields nothing.
+        media_type = header_map.get(b"content-type", b"").split(b";", 1)[0]
+        is_html = media_type.strip().lower() == b"text/html"
         html = body.decode("utf-8", "replace")
         result = FetchResult(
             path=path,
@@ -192,17 +197,18 @@ class GenerativeClient:
         )
         try:
             with record.bind():
-                result.document = parse_html(html)
-                if status == 200 and sww_mode and self.gen_ability:
-                    # Parse → generate → rewrite (§5.2).
-                    with self.tracer.span("client.generate", page=path) as span:
-                        result.report = self.processor.process(result.document)
-                        if span.trace_id:
-                            record.set(trace_id=span.trace_id)
-                    raw_manifests = header_map.get(b"x-sww-manifests")
-                    if raw_manifests and self.trust_authority is not None:
-                        self._verify_outputs(result, raw_manifests)
-                result.rendered = render_text(result.document)
+                if is_html:
+                    result.document = parse_html(html)
+                    if status == 200 and sww_mode and self.gen_ability:
+                        # Parse → generate → rewrite (§5.2).
+                        with self.tracer.span("client.generate", page=path) as span:
+                            result.report = self.processor.process(result.document)
+                            if span.trace_id:
+                                record.set(trace_id=span.trace_id)
+                        raw_manifests = header_map.get(b"x-sww-manifests")
+                        if raw_manifests and self.trust_authority is not None:
+                            self._verify_outputs(result, raw_manifests)
+                    result.rendered = render_text(result.document)
         except Exception as exc:
             record.finish(status=status, error=type(exc).__name__)
             raise

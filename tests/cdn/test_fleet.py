@@ -1,5 +1,7 @@
 """Tests for the geo-distributed edge fleet and its request router."""
 
+import random
+
 import pytest
 
 from repro.cdn.fleet import EdgeFleet, FleetConfig, build_fleet_catalog
@@ -199,6 +201,65 @@ class TestOriginShield:
         fleet._fetch_prompt(edge, fleet.profile(key))
         assert fleet.origin_prompt_pulls == 1
         assert fleet.shield_prompt_hits == 1
+
+
+class TestBoundedLoadWalk:
+    """The miss path walks the profiled preference list; it must place
+    exactly as the ring's bounded-load rule over a full backlog map."""
+
+    @staticmethod
+    def reference_site(fleet, digest, backlog):
+        """The rule before the walk was profiled: ``owner_bounded`` over
+        every edge's backlog, origin when the chosen edge is still at or
+        over the cap."""
+        cap = fleet.config.max_backlog_s
+        site = fleet.ring.owner_bounded(digest, backlog, cap)
+        return None if backlog[site] >= cap else site
+
+    def test_walk_is_the_full_preference_list(self):
+        fleet, _ = make_fleet(edges=5)
+        for key in sorted(fleet.catalog.items):
+            prof = fleet.profile(key)
+            assert prof.walk == tuple(fleet.ring.preference(prof.digest, len(fleet.edges)))
+            assert prof.walk[0] == fleet.ring.owner(prof.digest)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walk_matches_owner_bounded_on_random_backlogs(self, seed):
+        rng = random.Random(seed)
+        fleet, _ = make_fleet(edges=6, regions=3, items=120, gen_lanes=2, max_backlog_s=2.0)
+        cap = fleet.config.max_backlog_s
+        outcomes = set()
+        spilled = 0
+        for trial, key in enumerate(sorted(fleet.catalog.items)):
+            now = trial * 100.0
+            # Each edge under the cap with a trial-dependent probability,
+            # so both outcomes and spills deep into the walk all occur.
+            share_under = rng.choice([0.0, 0.1, 0.5, 0.9])
+            for edge in fleet.edges.values():
+                edge.lanes = [
+                    now + rng.uniform(0, cap) if rng.random() < share_under else now + cap * 1.5
+                    for _ in edge.lanes
+                ]
+            backlog = {name: edge.backlog_s(now) for name, edge in fleet.edges.items()}
+            expected = self.reference_site(fleet, fleet.profile(key).digest, backlog)
+            result = fleet.serve(f"r{trial % 3}", key, now)
+            if expected is None:
+                assert result.tier == "origin" and result.gen_edge is None
+            else:
+                assert result.tier == "generated" and result.gen_edge == expected
+                spilled += expected != fleet.profile(key).walk[0]
+            outcomes.add(result.tier)
+        assert outcomes == {"generated", "origin"}
+        assert spilled > 0
+
+    def test_saturated_fleet_serves_miss_from_origin(self):
+        fleet, _ = make_fleet(edges=4, regions=2, max_backlog_s=1.0)
+        for edge in fleet.edges.values():
+            edge.lanes = [1.0 + 0.5 * i for i in range(len(edge.lanes))]
+        result = fleet.serve("r0", sorted(fleet.catalog.items)[0], 0.0)
+        assert result.tier == "origin"
+        assert fleet.origin_media_pulls == 1
+        assert sum(edge.generations for edge in fleet.edges.values()) == 0
 
 
 class TestAccountingInvariants:

@@ -52,6 +52,13 @@ class TestRingBasics:
         ring = HashRing(["edge-a", "edge-b"])
         assert len(ring.preference("key", 10)) == 2
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_preference_rejects_non_positive_k(self, k):
+        ring = HashRing(["a", "b", "c"])
+        with pytest.raises(ValueError):
+            ring.preference("k", k)
+        assert ring.preference("k", 1) == [ring.owner("k")]
+
     def test_load_split_roughly_even(self):
         nodes = [f"edge-{i}" for i in range(8)]
         ring = HashRing(nodes, vnodes=DEFAULT_VNODES)

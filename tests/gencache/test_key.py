@@ -1,5 +1,8 @@
 """Content-addressed key identity and stability."""
 
+import dataclasses
+
+import repro.gencache.key as key_module
 from repro.gencache import GenerationKey, image_key, key_for_item, text_key
 from repro.sww.content import GeneratedContent
 
@@ -76,3 +79,52 @@ def test_item_model_overrides_the_default():
 def test_upscale_items_are_uncacheable():
     item = GeneratedContent.upscaled_image("a pier at dusk", "/thumbs/pier.jpg", 4)
     assert key_for_item(item, "img", "txt") is None
+
+
+class TestDigestMemo:
+    PINNED = "5cf322cea191b3257243e3b50935a42d"
+
+    @staticmethod
+    def count_hashes(monkeypatch) -> list[int]:
+        calls = [0]
+        original = key_module.stable_hash
+
+        def counting(*parts):
+            calls[0] += 1
+            return original(*parts)
+
+        monkeypatch.setattr(key_module, "stable_hash", counting)
+        return calls
+
+    def test_digest_hashed_once_per_key(self, monkeypatch):
+        calls = self.count_hashes(monkeypatch)
+        key = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+        assert calls[0] == 0
+        digests = {key.digest for _ in range(5)}
+        assert calls[0] == 1
+        assert digests == {self.PINNED}
+
+    def test_memoised_key_equals_fresh_key(self):
+        memoised = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+        assert memoised.digest == self.PINNED
+        fresh = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+        assert memoised == fresh and fresh == memoised
+        assert hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
+        assert len({memoised, fresh}) == 1
+
+    def test_replace_yields_fresh_digest(self, monkeypatch):
+        key = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+        assert key.digest == self.PINNED
+        calls = self.count_hashes(monkeypatch)
+        changed = dataclasses.replace(key, prompt="a blue barn")
+        assert changed.digest == image_key("sd3-medium", "a blue barn", 256, 256, steps=15).digest
+        assert changed.digest != self.PINNED
+        assert dataclasses.replace(changed, prompt="a red barn").digest == self.PINNED
+        assert calls[0] == 3  # one per fresh instance, the pinned key not re-hashed
+        assert key.digest == self.PINNED and calls[0] == 3
+
+    def test_digest_stays_a_plain_property(self):
+        # Tracing harnesses wrap ``property.fget``; a cached_property or
+        # descriptor would escape them.
+        assert isinstance(GenerationKey.__dict__["digest"], property)

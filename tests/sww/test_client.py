@@ -1,7 +1,10 @@
 """Tests for the generative client (§5.2)."""
 
+import repro.sww.client as client_module
 from repro.devices import LAPTOP, WORKSTATION
+from repro.html import parse_html, serialize
 from repro.sww.client import GenerativeClient, connect_in_memory
+from repro.sww.renderer import render_text
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.workloads import build_travel_blog
 from repro.workloads.corpus import populate_traditional_assets
@@ -101,3 +104,43 @@ class TestPreloadedPipeline:
         reloads_after_first = client.pipeline.reloads
         client.fetch_via_pair(pair, "/blog/ridgeline-hike")
         assert client.pipeline.reloads == reloads_after_first == 1
+
+
+class TestNonHtmlBodies:
+    @staticmethod
+    def count_parses(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        original = client_module.parse_html
+
+        def counting(text):
+            calls.append(len(text))
+            return original(text)
+
+        monkeypatch.setattr(client_module, "parse_html", counting)
+        return calls
+
+    def test_asset_fetch_does_not_tokenize_as_html(self, monkeypatch):
+        client = GenerativeClient(device=LAPTOP, gen_ability=False)
+        pair = connect_in_memory(client, make_server())
+        page = client.fetch_via_pair(pair, "/blog/ridgeline-hike")
+        sources = [img.get("src") for img in page.document.find_by_tag("img")]
+        assert "/generated/stock-0.png" in sources and "/photos/hike-0.jpg" in sources
+        calls = self.count_parses(monkeypatch)
+        for src in ("/generated/stock-0.png", "/photos/hike-0.jpg"):
+            result = client.fetch_via_pair(pair, src)
+            assert result.status == 200
+            assert result.wire_bytes > 0
+            assert len(result.received_html) > 0  # raw body still decoded
+            assert result.rendered == ""
+        assert calls == []
+
+    def test_html_page_results_unchanged(self, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        client = GenerativeClient(device=LAPTOP, gen_ability=False)
+        pair = connect_in_memory(client, make_server())
+        result = client.fetch_via_pair(pair, "/blog/ridgeline-hike")
+        assert calls == [len(result.received_html)]
+        reference = parse_html(result.received_html)
+        assert result.final_html == serialize(reference)
+        assert result.rendered == render_text(reference)
+        assert result.wire_bytes == len(result.received_html.encode("utf-8"))
